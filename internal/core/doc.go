@@ -64,11 +64,11 @@
 //     input size is a pure function of that size.  The first run for a
 //     key (algorithm, n) executes once, instrumented, on the Compile
 //     engine and compiles the recorded trace into a Schedule — per
-//     superstep, the label, the fold-degree vector and a
-//     destination-bucketed CSR routing table sorted by (destination,
-//     source) so the compiled form is canonical.  Every later run
-//     replays the schedule as pure data movement through a pooled
-//     arena: no goroutine per VP, no barriers, no Trace.mu contention,
+//     superstep, the label, the fold-degree vector and the message
+//     pairs as two columns sorted by (destination, source), so the
+//     compiled form is canonical.  Every later run restates the
+//     schedule's steps and shares its pair columns: no goroutine per
+//     VP, no barriers, no Trace.mu contention, no per-message work,
 //     and a constant handful of allocations regardless of message
 //     volume (the trace itself plus the store key; the budget is
 //     enforced by TestWarmReplayAllocs).  Warm replays skip the program
@@ -110,7 +110,9 @@
 //     sweep (cachesim.CurveSim) consumes records the same way;
 //   - released pair records recycle their chunk storage through an
 //     internal pool, so a streaming recorded run reaches a steady state
-//     with near-zero pair allocation.
+//     with near-zero pair allocation; a retained (non-streaming) run
+//     compacts each completed superstep's pairs into exact-size columns
+//     and recycles its chunks the same way.
 //
 // Sinks see BeginTrace exactly once, WriteStep per superstep in order,
 // and EndTrace exactly once with the run's error — see the TraceSink

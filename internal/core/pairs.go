@@ -26,11 +26,11 @@ type pairChunk struct {
 	pooled   bool
 }
 
-// pairChunkPool recycles full-size chunks so a streaming run — where a
-// sink consumes and Releases each superstep's pairs at the barrier —
-// stops allocating two fresh 16 KiB columns per 4096 messages per
-// superstep.  Non-streaming runs retain their traces, never Release,
-// and simply bypass the pool's benefit.
+// pairChunkPool recycles full-size chunks so a recorded run stops
+// allocating two fresh 16 KiB columns per 4096 messages per superstep:
+// a streaming run's sink Releases each superstep's pairs after use, and
+// a retained run compacts each completed superstep (compact), both
+// returning the chunks here.
 var pairChunkPool = sync.Pool{New: func() any {
 	return &pairChunk{
 		src:    make([]int32, 0, pairChunkLen),
@@ -95,6 +95,36 @@ func (p *PairList) Release() {
 	}
 	p.chunks = nil
 	p.n = 0
+}
+
+// compact rewrites the list as one exact-size column pair — both
+// columns carved from a single allocation — and returns its pooled
+// chunks to the pool.  A trace calls it on each retained superstep once
+// every VP has merged, so a stored recorded trace costs 8 bytes per
+// pair instead of whole 4096-pair chunks, however few messages the
+// step's workers appended.  A nil list or one already held in a single
+// exact-size chunk is left as it is.
+func (p *PairList) compact() {
+	if p.Len() == 0 {
+		return
+	}
+	if len(p.chunks) == 1 {
+		if c := p.chunks[0]; !c.pooled && len(c.src) == cap(c.src) {
+			return
+		}
+	}
+	n := p.n
+	cols := make([]int32, 2*n)
+	src, dst := cols[:n:n], cols[n:]
+	at := 0
+	for _, c := range p.chunks {
+		copy(src[at:], c.src)
+		copy(dst[at:], c.dst)
+		at += len(c.src)
+	}
+	p.Release()
+	p.chunks = []*pairChunk{{src: src, dst: dst}}
+	p.n = n
 }
 
 // pairListOver wraps existing parallel columns as a single-chunk list

@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"slices"
 	"strconv"
-	"sync"
 	"sync/atomic"
 
 	"netoblivious/internal/obs"
@@ -23,28 +22,24 @@ import (
 
 // Schedule is the compiled form of one program's run on M(v): per
 // superstep, the sync label, the message total, the full fold-degree
-// vector, and a destination-bucketed routing table in CSR layout —
-// srcCol holds every message's source sorted by (destination, source)
-// and rowStart[d] .. rowStart[d+1] delimits the messages destined to
-// VP d.  The sort makes the compiled form canonical: two compiles of
-// the same program (on any engine, at any GOMAXPROCS) produce identical
-// schedules, so replayed traces are deterministic byte for byte.
+// vector, and the message (src, dst) pairs as two columns sorted by
+// (destination, source).  The sort makes the compiled form canonical:
+// two compiles of the same program (on any engine, at any GOMAXPROCS)
+// produce identical schedules, so replayed traces are deterministic
+// byte for byte.
 //
 // A Schedule is immutable after compilation and safe to share across
 // concurrent replays.
 type Schedule struct {
 	v, logV int
 	steps   []schedStep
-	maxMsgs int // largest per-superstep message count, for arena sizing
 }
 
 type schedStep struct {
 	label    int
 	messages int64
-	degree   []int64 // logV+1 entries; view into one schedule-owned backing
-	srcCol   []int32 // message sources, sorted by (dst, src)
-	rowStart []int32 // CSR offsets into srcCol by destination VP; len v+1
-	pairs    *PairList
+	degree   []int64   // logV+1 entries; view into one schedule-owned backing
+	pairs    *PairList // one (dst, src)-sorted column pair; empty without messages
 }
 
 // V returns the number of virtual processors the schedule was compiled
@@ -64,6 +59,9 @@ func (s *Schedule) NumSupersteps() int { return len(s.steps) }
 func CompileSchedule(tr *Trace) (*Schedule, error) {
 	s := &Schedule{v: tr.V, logV: tr.LogV, steps: make([]schedStep, len(tr.Steps))}
 	degBacking := make([]int64, len(tr.Steps)*(tr.LogV+1))
+	// offs is the counting sort's per-step scratch: bucket offsets by
+	// destination VP, reused across supersteps.
+	var offs []int32
 	for i := range tr.Steps {
 		rec := &tr.Steps[i]
 		if rec.Messages > 0 && rec.Pairs.Len() == 0 {
@@ -77,73 +75,60 @@ func CompileSchedule(tr *Trace) (*Schedule, error) {
 		copy(st.degree, rec.Degree)
 
 		msgs := rec.Pairs.Len()
-		if msgs > s.maxMsgs {
-			s.maxMsgs = msgs
-		}
-		st.rowStart = make([]int32, tr.V+1)
 		if msgs == 0 {
 			st.pairs = &PairList{}
 			continue
 		}
 		// Counting sort by destination: one pass to count, prefix-sum to
-		// offsets, one pass to place, then an ascending source sort inside
-		// each destination bucket for full canonical order.
-		counts := st.rowStart // reuse: counts[d+1] accumulates, prefix-sum in place
+		// bucket starts, one pass to place (advancing each start to its
+		// bucket's end), then an ascending source sort inside each
+		// destination bucket for full canonical order.
+		if offs == nil {
+			offs = make([]int32, tr.V+1)
+		} else {
+			clear(offs)
+		}
 		for _, dst := range rec.Pairs.All() {
-			counts[dst+1]++
+			offs[dst+1]++
 		}
 		for d := 0; d < tr.V; d++ {
-			counts[d+1] += counts[d]
+			offs[d+1] += offs[d]
 		}
-		st.srcCol = make([]int32, msgs)
-		dstCol := make([]int32, msgs)
-		cursor := make([]int32, tr.V)
+		cols := make([]int32, 2*msgs)
+		srcCol, dstCol := cols[:msgs:msgs], cols[msgs:]
 		for src, dst := range rec.Pairs.All() {
-			at := st.rowStart[dst] + cursor[dst]
-			cursor[dst]++
-			st.srcCol[at] = src
+			at := offs[dst]
+			offs[dst]++
+			srcCol[at] = src
 			dstCol[at] = dst
 		}
+		lo := int32(0)
 		for d := 0; d < tr.V; d++ {
-			lo, hi := st.rowStart[d], st.rowStart[d+1]
+			hi := offs[d]
 			if hi-lo > 1 {
-				slices.Sort(st.srcCol[lo:hi])
+				slices.Sort(srcCol[lo:hi])
 			}
+			lo = hi
 		}
-		st.pairs = pairListOver(st.srcCol, dstCol)
+		st.pairs = pairListOver(srcCol, dstCol)
 	}
 	return s, nil
 }
 
-// replayArena is the reusable scratch buffer a replay streams messages
-// through.  Pooled process-wide so steady-state replays allocate nothing
-// per message.
-type replayArena struct{ buf []int32 }
-
-var replayArenas = sync.Pool{New: func() any { return new(replayArena) }}
-
 // Replay reconstructs the recorded trace: per superstep it copies the
-// compiled degree vector (callers own their Trace), restates the label
-// and message count, and streams every message's source id into its
-// destination bucket through a pooled arena — the honest data-movement
-// cost of delivery, proportional to the message total.  When record is
-// set, the step's Pairs share the schedule's immutable columns; no copy
-// is ever made.
+// compiled degree vector (callers own their Trace) and restates the
+// label and message count.  When record is set, the step's Pairs share
+// the schedule's immutable columns; no copy is ever made.
 func (s *Schedule) Replay(record bool) *Trace {
 	return s.replay(record, nil)
 }
 
 // replay is Replay with an optional probe: non-nil, it records one
-// "engine"-category span per replayed superstep (the data-movement time
-// of that step's delivery).  The nil path is the exported Replay and
-// stays within the warm-replay allocation budget.
+// "engine"-category span per replayed superstep.  The nil path is the
+// exported Replay and stays within the warm-replay allocation budget.
 func (s *Schedule) replay(record bool, probe *obs.Probe) *Trace {
 	tr := &Trace{V: s.v, LogV: s.logV, Steps: make([]StepRec, len(s.steps))}
 	degBacking := make([]int64, len(s.steps)*(s.logV+1))
-	ar := replayArenas.Get().(*replayArena)
-	if cap(ar.buf) < s.maxMsgs {
-		ar.buf = make([]int32, s.maxMsgs)
-	}
 	for i := range s.steps {
 		st := &s.steps[i]
 		stepStart := probe.Now()
@@ -157,16 +142,6 @@ func (s *Schedule) replay(record bool, probe *obs.Probe) *Trace {
 		if record && st.pairs.Len() > 0 {
 			rec.Pairs = st.pairs
 		}
-		if len(st.srcCol) > 0 {
-			inbox := ar.buf[:len(st.srcCol)]
-			rs := st.rowStart
-			for d := 0; d < s.v; d++ {
-				lo, hi := rs[d], rs[d+1]
-				if lo < hi {
-					copy(inbox[lo:hi], st.srcCol[lo:hi])
-				}
-			}
-		}
 		if probe != nil {
 			probe.Span("engine", "superstep "+strconv.Itoa(i), 0, stepStart, map[string]any{
 				"label":    st.label,
@@ -175,7 +150,6 @@ func (s *Schedule) replay(record bool, probe *obs.Probe) *Trace {
 			})
 		}
 	}
-	replayArenas.Put(ar)
 	return tr
 }
 
@@ -190,10 +164,6 @@ func (s *Schedule) replayTo(sink TraceSink, record bool, probe *obs.Probe) (*Tra
 		return nil, fmt.Errorf("core: trace sink: %w", err)
 	}
 	meta := &Trace{V: s.v, LogV: s.logV, sink: sink}
-	ar := replayArenas.Get().(*replayArena)
-	if cap(ar.buf) < s.maxMsgs {
-		ar.buf = make([]int32, s.maxMsgs)
-	}
 	var runErr error
 	for i := range s.steps {
 		st := &s.steps[i]
@@ -203,16 +173,6 @@ func (s *Schedule) replayTo(sink TraceSink, record bool, probe *obs.Probe) (*Tra
 		rec := StepRec{Label: st.label, Degree: deg, Messages: st.messages}
 		if record && st.pairs.Len() > 0 {
 			rec.Pairs = st.pairs.alias()
-		}
-		if len(st.srcCol) > 0 {
-			inbox := ar.buf[:len(st.srcCol)]
-			rs := st.rowStart
-			for d := 0; d < s.v; d++ {
-				lo, hi := rs[d], rs[d+1]
-				if lo < hi {
-					copy(inbox[lo:hi], st.srcCol[lo:hi])
-				}
-			}
 		}
 		if err := sink.WriteStep(rec); err != nil {
 			runErr = fmt.Errorf("core: trace sink: %w", err)
@@ -228,7 +188,6 @@ func (s *Schedule) replayTo(sink TraceSink, record bool, probe *obs.Probe) (*Tra
 		meta.flushed++
 		meta.flushedMsgs += rec.Messages
 	}
-	replayArenas.Put(ar)
 	if eerr := sink.EndTrace(runErr); eerr != nil && runErr == nil {
 		runErr = fmt.Errorf("core: trace sink: %w", eerr)
 	}

@@ -33,9 +33,10 @@ type StepRec struct {
 
 	// Pairs lists the (src, dst) of every message of the superstep, in no
 	// particular order.  Populated only under Options.RecordMessages.
-	// The chunked columnar representation keeps recording message-heavy
-	// supersteps from repeatedly re-growing (and transiently doubling)
-	// one flat slice.
+	// While the superstep runs the engines record into pooled chunks;
+	// once every VP has merged, a retained trace compacts the list into
+	// one exact-size column pair (8 bytes per message) and returns the
+	// chunks to the pool.
 	Pairs *PairList
 }
 
@@ -57,26 +58,24 @@ type Trace struct {
 
 	mu sync.Mutex
 
-	// Streaming state, used only when sink is non-nil.  base is the
-	// superstep index of Steps[0]; seen[i] counts the VPs whose cluster
-	// has merged into Steps[i]; flushed and flushedMsgs summarize the
-	// records already handed to the sink, keeping NumSupersteps and
-	// TotalMessages valid on the metadata-only Trace a streaming run
-	// returns.
+	// seen[i] counts the VPs whose cluster has merged into Steps[i]; a
+	// step is complete once all V have.  Streaming state, used only when
+	// sink is non-nil: base is the superstep index of Steps[0]; flushed
+	// and flushedMsgs summarize the records already handed to the sink,
+	// keeping NumSupersteps and TotalMessages valid on the metadata-only
+	// Trace a streaming run returns.
+	seen        []int
 	sink        TraceSink
 	base        int
-	seen        []int
 	flushed     int
 	flushedMsgs int64
 
 	// Probe state, used only when probe is non-nil (Options.Probe).  A
 	// superstep's span ends when every VP has merged into its record;
-	// probeSeen counts merged VPs per pending step outside streaming mode
-	// (streaming mode reuses seen), probeDone is the next step to emit,
-	// and probeLast is the end time of the previous span — so spans tile
-	// the run without gaps.
+	// outside streaming mode probeDone is the next step to emit, and
+	// probeLast is the end time of the previous span — so spans tile the
+	// run without gaps.
 	probe     *obs.Probe
-	probeSeen []int
 	probeDone int
 	probeLast time.Time
 }
@@ -94,7 +93,8 @@ func newTrace(v, logV int) *Trace {
 // pending window can transiently hold a few supersteps — while the
 // BlockEngine merges whole supersteps and keeps the window at one.
 // Pairs are built by the engines outside the lock and spliced in here —
-// an O(chunks) pointer move, never a per-pair copy.
+// an O(chunks) pointer move; the one copy of a retained trace's pairs
+// is the compaction when the step completes.
 func (t *Trace) merge(step, label int, levelMax []int64, msgs int64, pairs *PairList, vps int) error {
 	t.mu.Lock()
 	defer t.mu.Unlock()
@@ -104,9 +104,7 @@ func (t *Trace) merge(step, label int, levelMax []int64, msgs int64, pairs *Pair
 	}
 	for len(t.Steps) <= idx {
 		t.Steps = append(t.Steps, StepRec{Label: -1, Degree: make([]int64, t.LogV+1)})
-		if t.sink != nil {
-			t.seen = append(t.seen, 0)
-		}
+		t.seen = append(t.seen, 0)
 	}
 	rec := &t.Steps[idx]
 	if rec.Label == -1 {
@@ -127,21 +125,20 @@ func (t *Trace) merge(step, label int, levelMax []int64, msgs int64, pairs *Pair
 		}
 		rec.Pairs.Splice(pairs)
 	}
-	if t.sink == nil {
-		if t.probe != nil {
-			for len(t.probeSeen) <= idx {
-				t.probeSeen = append(t.probeSeen, 0)
-			}
-			t.probeSeen[idx] += vps
-			for t.probeDone < len(t.probeSeen) && t.probeSeen[t.probeDone] >= t.V {
-				t.probeStepDoneLocked(t.probeDone, &t.Steps[t.probeDone])
-				t.probeDone++
-			}
-		}
-		return nil
-	}
 	t.seen[idx] += vps
-	return t.flushLocked()
+	if t.sink != nil {
+		return t.flushLocked()
+	}
+	if t.seen[idx] >= t.V {
+		rec.Pairs.compact()
+	}
+	if t.probe != nil {
+		for t.probeDone < len(t.seen) && t.seen[t.probeDone] >= t.V {
+			t.probeStepDoneLocked(t.probeDone, &t.Steps[t.probeDone])
+			t.probeDone++
+		}
+	}
+	return nil
 }
 
 // probeStepDoneLocked records the span of a completed superstep: from

@@ -13,15 +13,19 @@ import (
 // The spill layer turns the trace store's retention policy from
 // count-based eviction into a memory budget: runs beyond the budget are
 // written to disk in the compact binary trace format instead of being
-// discarded, and paged back in on demand.  A spilled run therefore
-// costs one file read to revisit, not a re-execution — the difference
-// matters for the large-n traces this store exists to serve.
+// discarded, and paged back in when a Get needs their pairs.  A spilled
+// run therefore costs one file read to revisit, not a re-execution —
+// the difference matters for the large-n traces this store exists to
+// serve.  Because engines compact each recorded superstep into
+// exact-size columns, the budget's estimate (traceBytes) is close to
+// the bytes a resident run really holds.
 //
-// The index (key → file, byte size, peak-entries metadata) always stays
-// in memory; only step data spills.  Spill files are written atomically
-// (tmp + rename, via core.TraceFileSink) and are immutable once
-// written: a run's trace is deterministic, so a re-spilled key reuses
-// its existing file without rewriting.
+// The index (key → file, byte size, RunSummary) always stays in memory;
+// only step data spills.  Summary lookups are answered from the index,
+// so the fold analyses never page a spilled run back in.  Spill files
+// are written atomically (tmp + rename, via core.TraceFileSink) and are
+// immutable once written: a run's trace is deterministic, so a
+// re-spilled key reuses its existing file without rewriting.
 
 // SpillStats reports the state and cumulative activity of a spilling
 // trace store.
@@ -42,11 +46,12 @@ type SpillStats struct {
 
 // spillEntry is the in-memory index record of one run.
 type spillEntry struct {
-	key         string
-	bytes       int64
-	peakEntries int
-	path        string        // spill file; "" until first written out
-	elem        *list.Element // LRU position while resident; nil when spilled
+	key   string
+	bytes int64
+	sum   RunSummary
+	path  string        // spill file; "" until first written out
+	elem  *list.Element // LRU position while resident; nil when spilled
+	trace *core.Trace   // the resident run's trace; nil when spilled
 }
 
 type spiller struct {
@@ -75,7 +80,7 @@ func NewSpillingTraceStore(budgetBytes int64, dir string) (*TraceStore, error) {
 		return nil, fmt.Errorf("harness: spill dir: %w", err)
 	}
 	return &TraceStore{
-		store: core.NewStore[AlgRun](),
+		store: core.NewStore[storedRun](),
 		spill: &spiller{
 			dir:     dir,
 			budget:  budgetBytes,
@@ -119,30 +124,41 @@ func traceBytes(tr *core.Trace) int64 {
 	return b
 }
 
-// spillReload pages a previously spilled run back in.  Called from
-// inside the store's single-flight compute, so at most one reload per
-// key runs at a time.
-func (ts *TraceStore) spillReload(key string) (AlgRun, bool, error) {
+// summary returns the indexed summary of a run the spiller knows,
+// resident or spilled.
+func (sp *spiller) summary(key string) (RunSummary, bool) {
+	sp.mu.Lock()
+	defer sp.mu.Unlock()
+	if e := sp.entries[key]; e != nil {
+		return e.sum, true
+	}
+	return RunSummary{}, false
+}
+
+// spillReload pages a previously spilled run back in, with the summary
+// its index record kept.  Called from inside the store's single-flight
+// compute, so at most one reload per key runs at a time.
+func (ts *TraceStore) spillReload(key string) (storedRun, bool, error) {
 	sp := ts.spill
 	sp.mu.Lock()
 	e := sp.entries[key]
 	if e == nil || e.path == "" {
 		sp.mu.Unlock()
-		return AlgRun{}, false, nil
+		return storedRun{}, false, nil
 	}
-	path, peak := e.path, e.peakEntries
+	path, sum := e.path, e.sum
 	sp.reloads++
 	sp.mu.Unlock()
 	src, err := core.OpenTraceFile(path)
 	if err != nil {
-		return AlgRun{}, false, fmt.Errorf("harness: reloading spilled trace %s: %w", key, err)
+		return storedRun{}, false, fmt.Errorf("harness: reloading spilled trace %s: %w", key, err)
 	}
 	defer src.Close()
 	tr, err := core.ReadAll(src)
 	if err != nil {
-		return AlgRun{}, false, fmt.Errorf("harness: reloading spilled trace %s: %w", key, err)
+		return storedRun{}, false, fmt.Errorf("harness: reloading spilled trace %s: %w", key, err)
 	}
-	return AlgRun{Trace: tr, PeakEntries: peak}, true, nil
+	return storedRun{run: AlgRun{Trace: tr, PeakEntries: sum.PeakEntries}, sum: sum}, true, nil
 }
 
 // spillTouch charges a just-computed or just-reloaded run against the
@@ -150,16 +166,17 @@ func (ts *TraceStore) spillReload(key string) (AlgRun, bool, error) {
 // used runs while the budget is exceeded.  A single run larger than the
 // whole budget is written out immediately — later Gets page it in per
 // use, keeping the resident set bounded.
-func (ts *TraceStore) spillTouch(key string, run AlgRun) error {
+func (ts *TraceStore) spillTouch(key string, run storedRun) error {
 	sp := ts.spill
 	sp.mu.Lock()
 	defer sp.mu.Unlock()
 	e := sp.entries[key]
 	if e == nil {
-		e = &spillEntry{key: key, bytes: traceBytes(run.Trace), peakEntries: run.PeakEntries}
+		e = &spillEntry{key: key, bytes: traceBytes(run.run.Trace), sum: run.sum}
 		sp.entries[key] = e
 	}
 	if e.elem == nil {
+		e.trace = run.run.Trace
 		e.elem = sp.lru.PushFront(e)
 		sp.used += e.bytes
 	} else {
@@ -180,21 +197,11 @@ func (ts *TraceStore) spillTouch(key string, run AlgRun) error {
 // writeOutLocked spills one resident entry: write its trace (once),
 // drop it from the memo store, and uncharge it.  Called with sp.mu
 // held.
-func (sp *spiller) writeOutLocked(store *core.Store[AlgRun], victim *spillEntry) error {
-	run, err, ok := store.Peek(victim.key)
-	if !ok || err != nil || run.Trace == nil {
-		// The entry vanished from the store (a Forget) or never held a
-		// usable trace: uncharge and drop the index record.
-		sp.lru.Remove(victim.elem)
-		victim.elem = nil
-		sp.used -= victim.bytes
-		delete(sp.entries, victim.key)
-		return nil
-	}
+func (sp *spiller) writeOutLocked(store *core.Store[storedRun], victim *spillEntry) error {
 	if victim.path == "" {
 		path := filepath.Join(sp.dir, fmt.Sprintf("spill-%06d.nobtrc", sp.seq))
 		sp.seq++
-		if werr := writeTraceFile(path, run.Trace); werr != nil {
+		if werr := writeTraceFile(path, victim.trace); werr != nil {
 			return werr
 		}
 		victim.path = path
@@ -202,6 +209,7 @@ func (sp *spiller) writeOutLocked(store *core.Store[AlgRun], victim *spillEntry)
 	store.Forget(victim.key)
 	sp.lru.Remove(victim.elem)
 	victim.elem = nil
+	victim.trace = nil
 	sp.used -= victim.bytes
 	sp.spills++
 	return nil

@@ -6,6 +6,7 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
 
 	"netoblivious/internal/core"
@@ -23,15 +24,15 @@ func TestSpillingTraceStoreRoundTrip(t *testing.T) {
 	}
 	ctx := context.Background()
 
-	ref, err := NewTraceStore().GetRecorded(ctx, nil, "fft", 64)
+	ref, err := NewTraceStore().Get(ctx, nil, "fft", 64)
 	if err != nil {
 		t.Fatal(err)
 	}
-	first, err := ts.GetRecorded(ctx, nil, "fft", 64)
+	first, err := ts.Get(ctx, nil, "fft", 64)
 	if err != nil {
 		t.Fatal(err)
 	}
-	second, err := ts.GetRecorded(ctx, nil, "fft", 64)
+	second, err := ts.Get(ctx, nil, "fft", 64)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -140,6 +141,49 @@ func TestSpillingTraceStoreKeepsHotRunsResident(t *testing.T) {
 	}
 	if hits := ts.Stats().Hits; hits < 2 {
 		t.Errorf("store hits = %d, want >= 2 (repeat Gets served from memory)", hits)
+	}
+}
+
+// TestSpillingTraceStoreConcurrentSummaries: goroutines mixing Summary
+// and Get over a few keys, under a budget that keeps spilling them, all
+// see each key's one summary and a trace that agrees with it.
+func TestSpillingTraceStoreConcurrentSummaries(t *testing.T) {
+	ts, err := NewSpillingTraceStore(4<<10, t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	names := []string{"fft", "bitonic", "prefix-tree"}
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := 0; i < 12; i++ {
+				name := names[(g+i)%len(names)]
+				sum, err := ts.Summary(ctx, nil, name, 64)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				if (g+i)%3 != 0 {
+					continue
+				}
+				run, err := ts.Get(ctx, nil, name, 64)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				if run.Trace.NumSupersteps() != sum.Fold.NumSupersteps() || run.Trace.TotalMessages() != sum.Fold.TotalMessages() {
+					t.Errorf("%s: trace (%d steps, %d messages) disagrees with its summary (%d, %d)", name,
+						run.Trace.NumSupersteps(), run.Trace.TotalMessages(), sum.Fold.NumSupersteps(), sum.Fold.TotalMessages())
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+	if st, _ := ts.SpillStats(); st.Spills == 0 {
+		t.Error("no run spilled; the budget does not exercise the spill index")
 	}
 }
 

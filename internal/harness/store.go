@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"sync/atomic"
 
 	"netoblivious/alg"
 	"netoblivious/internal/core"
@@ -15,12 +16,31 @@ import (
 // result type).
 type AlgRun = alg.Result
 
+// RunSummary is what the fold analyses read of a stored run: its
+// O(log²v) fold summary (which also carries v, the superstep count and
+// the message total) and the run's PeakEntries metadata.  It stays
+// resident for as long as the run's entry lives — also while a spilling
+// store holds the run's pairs on disk only.
+type RunSummary struct {
+	Fold        *core.FoldSummary
+	PeakEntries int
+}
+
+// storedRun is one store entry: the recorded run and its summary.
+type storedRun struct {
+	run AlgRun
+	sum RunSummary
+}
+
 // TraceStore memoizes registry-algorithm runs by (algorithm, n, engine).
 // The paper's algorithms are static — their communication depends only
-// on the input size — so one execution per key serves every experiment
-// that needs the trace: E1/E2/E8/E9/E10/E12/E13 all fold the same
-// handful of traces, and without the store each recomputed them.
-// The store is safe for concurrent use and computations are
+// on the input size — so one execution per key serves every consumer:
+// E1/E2/E8/E9/E10/E12/E13 all fold the same handful of traces, and
+// nobld's trace, dbsp and cache analyses of one key share a run.  Every
+// run is recorded (message pairs included) exactly once; the fold
+// analyses read the entry's resident RunSummary (Summary) and only
+// consumers of the pairs — the cache simulator — need the trace itself
+// (Get).  The store is safe for concurrent use and computations are
 // single-flight (core.Store), which also keeps the suite's hit/miss
 // counters schedule-independent.
 //
@@ -28,15 +48,18 @@ type AlgRun = alg.Result
 // recently used runs beyond a capacity, which is what lets a long-running
 // process — nobld in particular — keep one store for its whole lifetime.
 // A spilling store (NewSpillingTraceStore) replaces count eviction with a
-// memory budget: runs beyond the budget move to disk and page back in on
-// demand instead of being recomputed.
+// memory budget: runs beyond the budget move to disk and page back in
+// when a Get needs their pairs, instead of being recomputed.
 type TraceStore struct {
-	store *core.Store[AlgRun]
+	store *core.Store[storedRun]
 	spill *spiller // nil unless built by NewSpillingTraceStore
 	probe *obs.Probe
+	// indexHits counts Summary calls a spilling store answered from its
+	// index without touching the memo store; Stats adds them to Hits.
+	indexHits atomic.Int64
 }
 
-// SetProbe attaches a probe: every Get records a hit instant or wraps
+// SetProbe attaches a probe: every lookup records a hit instant or wraps
 // its miss computation in a "trace-compute" span, and computed runs
 // inherit the probe so their engine supersteps appear in the same
 // timeline.  Call before serving traffic; nil detaches.
@@ -50,63 +73,94 @@ func NewTraceStore() *TraceStore {
 // NewBoundedTraceStore returns an empty store retaining at most capacity
 // completed runs under LRU eviction (0 = unbounded).
 func NewBoundedTraceStore(capacity int) *TraceStore {
-	return &TraceStore{store: core.NewBoundedStore[AlgRun](capacity)}
+	return &TraceStore{store: core.NewBoundedStore[storedRun](capacity)}
 }
 
-// Get returns the memoized run of the named registry algorithm at size
-// n on the given engine, executing it on first use.  ctx bounds that
-// execution; because cancellation errors would otherwise be memoized for
-// every later caller of the key, a run failing with ctx's error is
-// forgotten instead of cached.
+// Get returns the memoized recorded run of the named registry algorithm
+// at size n on the given engine, executing it on first use (and paging
+// a spilled run back in).  ctx bounds that execution; because
+// cancellation errors would otherwise be memoized for every later caller
+// of the key, a run failing with ctx's error is forgotten instead of
+// cached.
 func (ts *TraceStore) Get(ctx context.Context, eng core.Engine, name string, n int) (AlgRun, error) {
-	return ts.get(ctx, eng, name, n, false)
+	e, err := ts.get(ctx, eng, name, n)
+	return e.run, err
 }
 
-// GetRecorded is Get for message-pair-recorded runs (the form the cache
-// simulator consumes).  Recorded and unrecorded runs of the same
-// algorithm are distinct store entries: their traces differ in payload,
-// and a consumer of a recorded trace must never receive the lighter one.
+// GetRecorded is Get: every stored run is recorded.  It remains for
+// callers written against the earlier split between recorded and
+// unrecorded entries.
 func (ts *TraceStore) GetRecorded(ctx context.Context, eng core.Engine, name string, n int) (AlgRun, error) {
-	return ts.get(ctx, eng, name, n, true)
+	return ts.Get(ctx, eng, name, n)
 }
 
-func (ts *TraceStore) get(ctx context.Context, eng core.Engine, name string, n int, record bool) (AlgRun, error) {
+// Summary returns the fold summary of the run Get would return, from the
+// same single entry.  A spilling store answers it from its index — a
+// spilled run's pairs stay on disk — and counts that as a hit.
+func (ts *TraceStore) Summary(ctx context.Context, eng core.Engine, name string, n int) (RunSummary, error) {
+	if ts.spill != nil {
+		key := traceKey(eng, name, n)
+		if sum, ok := ts.spill.summary(key); ok {
+			ts.indexHits.Add(1)
+			if ts.probe != nil {
+				ts.probe.Instant("store", "trace-hit", 0, map[string]any{"key": key})
+			}
+			return sum, nil
+		}
+	}
+	e, err := ts.get(ctx, eng, name, n)
+	return e.sum, err
+}
+
+// traceKey renders the store key of a run; nil eng is the default engine.
+func traceKey(eng core.Engine, name string, n int) string {
+	if eng == nil {
+		eng = core.DefaultEngine()
+	}
+	return core.TraceKey{Algorithm: name, N: n, Engine: eng.Name()}.String()
+}
+
+func (ts *TraceStore) get(ctx context.Context, eng core.Engine, name string, n int) (storedRun, error) {
 	if eng == nil {
 		eng = core.DefaultEngine()
 	}
 	a, ok := TraceAlgorithmByName(name)
 	if !ok {
-		return AlgRun{}, fmt.Errorf("harness: unknown algorithm %q", name)
+		return storedRun{}, fmt.Errorf("harness: unknown algorithm %q", name)
 	}
-	key := core.TraceKey{Algorithm: name, N: n, Engine: eng.Name()}.String()
-	if record {
-		key += "+rec"
-	}
+	key := traceKey(eng, name, n)
 	computed := false
-	run, err := ts.store.Get(key, func() (AlgRun, error) {
+	e, err := ts.store.Get(key, func() (storedRun, error) {
 		computed = true
 		if ts.spill != nil {
 			// A spilled run is paged back in from its binary file instead
 			// of re-executing the algorithm.
-			if run, ok, lerr := ts.spillReload(key); lerr != nil {
-				return AlgRun{}, lerr
+			if e, ok, lerr := ts.spillReload(key); lerr != nil {
+				return storedRun{}, lerr
 			} else if ok {
-				return run, nil
+				return e, nil
 			}
 		}
 		start := ts.probe.Now()
-		r, rerr := a.Run(ctx, alg.Spec{Engine: eng, Record: record, Probe: ts.probe}, n)
-		if rerr == nil && ts.probe != nil {
+		r, rerr := a.Run(ctx, alg.Spec{Engine: eng, Record: true, Probe: ts.probe}, n)
+		if rerr != nil {
+			return storedRun{}, rerr
+		}
+		fs, serr := r.Trace.Summary()
+		if serr != nil {
+			return storedRun{}, serr
+		}
+		if ts.probe != nil {
 			ts.probe.Span("store", "trace-compute", 0, start, map[string]any{"key": key})
 		}
-		return r, rerr
+		return storedRun{run: r, sum: RunSummary{Fold: fs, PeakEntries: r.PeakEntries}}, nil
 	})
 	if ts.probe != nil && !computed {
 		ts.probe.Instant("store", "trace-hit", 0, map[string]any{"key": key})
 	}
 	if err == nil && ts.spill != nil {
-		if serr := ts.spillTouch(key, run); serr != nil {
-			return run, serr
+		if serr := ts.spillTouch(key, e); serr != nil {
+			return e, serr
 		}
 	}
 	if IsCancellation(err) {
@@ -117,9 +171,9 @@ func (ts *TraceStore) get(ctx context.Context, eng core.Engine, name string, n i
 		// computation, a stale one can never evict the fresh entry a
 		// live caller has already started.  Genuine algorithm errors are
 		// unaffected and stay memoized.
-		ts.store.ForgetIf(key, func(_ AlgRun, err error) bool { return IsCancellation(err) })
+		ts.store.ForgetIf(key, func(_ storedRun, err error) bool { return IsCancellation(err) })
 	}
-	return run, err
+	return e, err
 }
 
 // IsCancellation reports whether err is (or wraps) a context
@@ -130,12 +184,22 @@ func IsCancellation(err error) bool {
 	return errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)
 }
 
-// Stats returns the cumulative hit/miss/eviction counters.
-func (ts *TraceStore) Stats() core.StoreStats { return ts.store.Stats() }
+// Stats returns the cumulative hit/miss/eviction counters.  Summary
+// calls answered from a spilling store's index count as hits.
+func (ts *TraceStore) Stats() core.StoreStats {
+	st := ts.store.Stats()
+	st.Hits += ts.indexHits.Load()
+	return st
+}
 
-// Store exposes the underlying keyed store, for consumers that report its
-// capacity and counters (the nobld metrics endpoint).
-func (ts *TraceStore) Store() *core.Store[AlgRun] { return ts.store }
+// Store exposes the underlying keyed memo store.  Its counters exclude
+// the index hits Stats adds.
+func (ts *TraceStore) Store() *core.Store[storedRun] { return ts.store }
 
-// Len returns the number of memoized runs (completed or in flight).
+// Capacity returns the LRU bound (0 = unbounded, as for every spilling
+// store, whose bound is its byte budget).
+func (ts *TraceStore) Capacity() int { return ts.store.Capacity() }
+
+// Len returns the number of memoized runs (completed or in flight)
+// whose trace is in memory.
 func (ts *TraceStore) Len() int { return ts.store.Len() }

@@ -3,10 +3,12 @@ package harness
 import (
 	"context"
 	"errors"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
 
+	"netoblivious/alg"
 	"netoblivious/internal/core"
 )
 
@@ -105,4 +107,44 @@ func TestTraceStoreKeysByEngine(t *testing.T) {
 	if key.String() != "fft/n=256@block" {
 		t.Errorf("TraceKey.String() = %q", key.String())
 	}
+}
+
+// TestRecordedTracesAreCompact: a retained recorded trace costs about
+// what the spill budget charges for it (traceBytes: 8 bytes per pair
+// plus the step records), not the pooled 4096-pair chunks each worker
+// records a superstep into.  stencil1 has many supersteps with few
+// messages each, sort fewer and fuller ones.
+func TestRecordedTracesAreCompact(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		n    int
+	}{{"stencil1", 128}, {"sort", 256}} {
+		a, ok := TraceAlgorithmByName(tc.name)
+		if !ok {
+			t.Fatalf("unknown algorithm %q", tc.name)
+		}
+		before := heapAfterGC()
+		run, err := a.Run(context.Background(), alg.Spec{Engine: core.BlockEngine{}, Record: true}, tc.n)
+		if err != nil {
+			t.Fatal(err)
+		}
+		retained := heapAfterGC() - before
+		est := traceBytes(run.Trace)
+		runtime.KeepAlive(run)
+		if limit := 2*est + 256<<10; retained > limit {
+			t.Errorf("%s n=%d: recorded trace retains %d B of heap, want <= %d (2 x %d B estimate + 256 KiB)",
+				tc.name, tc.n, retained, limit, est)
+		}
+		t.Logf("%s n=%d: retained %d B, estimate %d B", tc.name, tc.n, retained, est)
+	}
+}
+
+// heapAfterGC returns the live heap after two collections, the second of
+// which also empties the sync.Pool victim caches.
+func heapAfterGC() int64 {
+	runtime.GC()
+	runtime.GC()
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	return int64(ms.HeapAlloc)
 }

@@ -149,8 +149,8 @@ func (h *Histogram) Count() int64 { return h.count.Load() }
 // Sum returns the sum of observed values.
 func (h *Histogram) Sum() float64 { return math.Float64frombits(h.sumBits.Load()) }
 
-// gaugeFn is a callback-backed gauge, read at snapshot time.
-type gaugeFn struct{ fn func() float64 }
+// valueFn is a callback-backed counter or gauge, read at snapshot time.
+type valueFn struct{ fn func() float64 }
 
 // family is one metric name: its metadata plus every labeled series.
 type family struct {
@@ -164,7 +164,7 @@ type family struct {
 
 type series struct {
 	labels []Label
-	value  any // *Counter | *Gauge | *Histogram | *gaugeFn
+	value  any // *Counter | *Gauge | *Histogram | *valueFn
 }
 
 // Registry holds metric families and hands out series.  All methods are
@@ -246,10 +246,21 @@ func (r *Registry) Gauge(name, help string, labels ...Label) *Gauge {
 // would otherwise need mirroring writes.  Re-registering the same
 // name+labels replaces the callback.
 func (r *Registry) GaugeFunc(name, help string, fn func() float64, labels ...Label) {
+	r.valueFunc(name, help, TypeGauge, fn, labels)
+}
+
+// CounterFunc is GaugeFunc for a cumulative value owned elsewhere (a
+// store's hit counter): fn must never decrease.  The series renders as a
+// counter.
+func (r *Registry) CounterFunc(name, help string, fn func() float64, labels ...Label) {
+	r.valueFunc(name, help, TypeCounter, fn, labels)
+}
+
+func (r *Registry) valueFunc(name, help string, typ MetricType, fn func() float64, labels []Label) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	f := r.getFamily(name, help, TypeGauge, nil)
-	f.series[labelKey(labels)] = &series{labels: labels, value: &gaugeFn{fn: fn}}
+	f := r.getFamily(name, help, typ, nil)
+	f.series[labelKey(labels)] = &series{labels: labels, value: &valueFn{fn: fn}}
 }
 
 // Histogram returns the histogram series for name and labels, creating
@@ -368,7 +379,7 @@ func (r *Registry) Snapshot() Snapshot {
 				ss.Value = float64(v.Value())
 			case *Gauge:
 				ss.Value = v.Value()
-			case *gaugeFn:
+			case *valueFn:
 				ss.Value = v.fn()
 			case *Histogram:
 				ss.Count = v.Count()

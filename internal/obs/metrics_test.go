@@ -66,6 +66,7 @@ func TestPrometheusRendering(t *testing.T) {
 	reg := NewRegistry()
 	reg.Counter("hits_total", "cache hits").Add(7)
 	reg.GaugeFunc("entries", "live entries", func() float64 { return 12 })
+	reg.CounterFunc("misses_total", "cache misses", func() float64 { return 3 })
 	h := reg.Histogram("lat_ms", "latency", []float64{1, 4}, L("algorithm", "fft"))
 	h.Observe(0.5)
 	h.Observe(9)
@@ -81,6 +82,9 @@ func TestPrometheusRendering(t *testing.T) {
 		"# TYPE hits_total counter",
 		"hits_total 7",
 		"entries 12",
+		"# TYPE entries gauge",
+		"# TYPE misses_total counter",
+		"misses_total 3",
 		`lat_ms_bucket{algorithm="fft",le="1"} 1`,
 		`lat_ms_bucket{algorithm="fft",le="4"} 1`,
 		`lat_ms_bucket{algorithm="fft",le="+Inf"} 2`,

@@ -410,39 +410,27 @@ func analyzeMachines(req Request) ([]*harness.Result, error) {
 	return out, nil
 }
 
-// algRun pulls the request's specification run from the shared trace
-// cache (recorded form only when the analysis needs message pairs).
-func (s *Server) algRun(ctx context.Context, req Request, recorded bool) (harness.AlgRun, error) {
-	eng := s.engineFor(req)
-	if recorded {
-		return s.traces.GetRecorded(ctx, eng, req.Algorithm, req.N)
-	}
-	return s.traces.Get(ctx, eng, req.Algorithm, req.N)
-}
-
 // analyzeTrace runs the algorithm and measures every requested machine.
+// The trace and dbsp analyses read only the run's summary from the
+// shared trace cache, so a spilled run's pairs stay on disk.
 func (s *Server) analyzeTrace(ctx context.Context, req Request, progress progressFunc) ([]*harness.Result, error) {
 	progress.emit("tracing", fmt.Sprintf("%s n=%d on %s", req.Algorithm, req.N, s.engineFor(req).Name()))
-	run, err := s.algRun(ctx, req, false)
+	sum, err := s.traces.Summary(ctx, s.engineFor(req), req.Algorithm, req.N)
 	if err != nil {
 		return nil, err
 	}
-	tr := run.Trace
-	machines, dropped, err := req.machinesWithin(tr.V)
+	// Every machine of the grid is measured from the run's O(log²v)
+	// FoldSummary without touching the steps.
+	fs := sum.Fold
+	v := fs.V()
+	machines, dropped, err := req.machinesWithin(v)
 	if err != nil {
 		return nil, err
 	}
-	// One pass over the supersteps builds the O(log²v) FoldSummary; every
-	// machine of the grid is then measured from it without touching the
-	// steps again.
-	fs, err := tr.Summary()
-	if err != nil {
-		return nil, err
-	}
-	progress.emit("measuring", fmt.Sprintf("v=%d, %d supersteps, %d messages", tr.V, fs.NumSupersteps(), fs.TotalMessages()))
+	progress.emit("measuring", fmt.Sprintf("v=%d, %d supersteps, %d messages", v, fs.NumSupersteps(), fs.TotalMessages()))
 	res := &harness.Result{
 		ID:       string(KindTrace),
-		Title:    fmt.Sprintf("measured metrics of %s at n=%d (v=%d)", req.Algorithm, req.N, tr.V),
+		Title:    fmt.Sprintf("measured metrics of %s at n=%d (v=%d)", req.Algorithm, req.N, v),
 		PaperRef: "Eq. 1; Def. 3.2; Def. 5.2",
 		Columns:  []string{"p", "sigma", "H(n,p,sigma)", "msg load", "supersteps", "alpha", "gamma"},
 	}
@@ -457,10 +445,10 @@ func (s *Server) analyzeTrace(ctx context.Context, req Request, progress progres
 	res.AddCheck("folding inequality (Lemma 3.1)", folding,
 		"H never shrinks under coarser folding across %d machines", len(res.Rows))
 	if len(dropped) > 0 {
-		res.Notes = append(res.Notes, droppedNote(dropped, tr.V))
+		res.Notes = append(res.Notes, droppedNote(dropped, v))
 	}
-	if run.PeakEntries > 0 {
-		res.Notes = append(res.Notes, fmt.Sprintf("peak per-VP matrix entries: %d", run.PeakEntries))
+	if sum.PeakEntries > 0 {
+		res.Notes = append(res.Notes, fmt.Sprintf("peak per-VP matrix entries: %d", sum.PeakEntries))
 	}
 	return []*harness.Result{res}, nil
 }
@@ -468,12 +456,12 @@ func (s *Server) analyzeTrace(ctx context.Context, req Request, progress progres
 // analyzeDBSP folds the measured trace on the network presets.
 func (s *Server) analyzeDBSP(ctx context.Context, req Request, progress progressFunc) ([]*harness.Result, error) {
 	progress.emit("tracing", fmt.Sprintf("%s n=%d on %s", req.Algorithm, req.N, s.engineFor(req).Name()))
-	run, err := s.algRun(ctx, req, false)
+	sum, err := s.traces.Summary(ctx, s.engineFor(req), req.Algorithm, req.N)
 	if err != nil {
 		return nil, err
 	}
-	tr := run.Trace
-	machines, dropped, err := req.machinesWithin(tr.V)
+	fs := sum.Fold
+	machines, dropped, err := req.machinesWithin(fs.V())
 	if err != nil {
 		return nil, err
 	}
@@ -484,10 +472,6 @@ func (s *Server) analyzeDBSP(ctx context.Context, req Request, progress progress
 		}
 	}
 	progress.emit("folding", fmt.Sprintf("onto D-BSP presets at p=%d", p))
-	fs, err := tr.Summary()
-	if err != nil {
-		return nil, err
-	}
 	res := &harness.Result{
 		ID:       string(KindDBSP),
 		Title:    fmt.Sprintf("communication time of %s at n=%d on D-BSP presets (p=%d)", req.Algorithm, req.N, p),
@@ -503,7 +487,7 @@ func (s *Server) analyzeDBSP(ctx context.Context, req Request, progress progress
 	}
 	res.AddCheck("folded on every preset", true, "%d networks at p=%d", len(res.Rows), p)
 	if len(dropped) > 0 {
-		res.Notes = append(res.Notes, droppedNote(dropped, tr.V))
+		res.Notes = append(res.Notes, droppedNote(dropped, fs.V()))
 	}
 	return []*harness.Result{res}, nil
 }
@@ -515,7 +499,7 @@ var cacheSweepSizes = []int{1 << 8, 1 << 10, 1 << 12, 1 << 14, 1 << 16}
 // ideal caches (the Section 6 conjecture's measurable content).
 func (s *Server) analyzeCache(ctx context.Context, req Request, progress progressFunc) ([]*harness.Result, error) {
 	progress.emit("tracing", fmt.Sprintf("%s n=%d (recorded) on %s", req.Algorithm, req.N, s.engineFor(req).Name()))
-	run, err := s.algRun(ctx, req, true)
+	run, err := s.traces.Get(ctx, s.engineFor(req), req.Algorithm, req.N)
 	if err != nil {
 		return nil, err
 	}

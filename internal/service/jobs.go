@@ -391,11 +391,15 @@ func (s *Server) runJob(j *job) {
 	start := time.Now()
 	probeStart := s.probe.Now()
 	key := s.requestKey(j.req)
-	var doc *harness.Document
+	var res *cachedResult
 	var err error
 	for attempt := 0; ; attempt++ {
-		doc, err = s.results.Get(key, func() (*harness.Document, error) {
-			return s.runAnalysis(jobCtx, j.req, j.publish)
+		res, err = s.results.Get(key, func() (*cachedResult, error) {
+			doc, err := s.runAnalysis(jobCtx, j.req, j.publish)
+			if err != nil {
+				return nil, err
+			}
+			return &cachedResult{doc: doc}, nil
 		})
 		if !harness.IsCancellation(err) {
 			break
@@ -403,7 +407,7 @@ func (s *Server) runJob(j *job) {
 		// A cancellation describes a job, not the key: never leave it
 		// memoized.  ForgetIf so a stale waiter cannot evict a fresh
 		// entry another caller has already recomputed.
-		s.results.ForgetIf(key, func(_ *harness.Document, err error) bool { return harness.IsCancellation(err) })
+		s.results.ForgetIf(key, func(_ *cachedResult, err error) bool { return harness.IsCancellation(err) })
 		if jobCtx.Err() != nil || attempt >= 2 {
 			break // our own cancellation/timeout (or giving up): terminal
 		}
@@ -420,7 +424,7 @@ func (s *Server) runJob(j *job) {
 	var finished bool
 	switch {
 	case err == nil:
-		finished = j.finish(StatusDone, &Response{Schema: ResponseSchema, Status: string(StatusDone), Document: doc})
+		finished = j.finish(StatusDone, &Response{Schema: ResponseSchema, Status: string(StatusDone), Document: res.doc})
 		if finished {
 			s.metrics.jobsDone.Add(1)
 		}

@@ -26,8 +26,8 @@ var queueWaitBuckets = []float64{0.25, 1, 4, 16, 64, 256, 1024, 4096, 16384}
 // obs.Registry, from which both /metrics renderings (Prometheus text and
 // the MetricsSnapshot JSON) are derived — one snapshot, two encodings,
 // so they can never disagree.  Values owned elsewhere (cache stats,
-// queue depth, spill counters) are registered as gauge callbacks in
-// (*Server).registerGauges rather than mirrored by writes.
+// queue depth, spill counters) are registered as counter and gauge
+// callbacks in (*Server).registerGauges rather than mirrored by writes.
 type metrics struct {
 	reg *obs.Registry
 
@@ -118,7 +118,7 @@ func (s *Server) registerGauges() {
 	reg.GaugeFunc("nobld_queue_depth", "queued (not yet running) jobs",
 		func() float64 { return float64(s.sched.depth()) })
 	registerCacheGauges(reg, "nobld_cache", func() CacheStats { return cacheStats(s.results) })
-	registerCacheGauges(reg, "nobld_trace_cache", func() CacheStats { return cacheStats(s.traces.Store()) })
+	registerCacheGauges(reg, "nobld_trace_cache", func() CacheStats { return cacheStats(s.traces) })
 	if _, ok := s.traces.SpillStats(); ok {
 		spill := func(read func(harness.SpillStats) float64) func() float64 {
 			return func() float64 {
@@ -134,18 +134,19 @@ func (s *Server) registerGauges() {
 			spill(func(sp harness.SpillStats) float64 { return float64(sp.UsedBytes) }))
 		reg.GaugeFunc("nobld_trace_spill_budget_bytes", "trace spill memory budget",
 			spill(func(sp harness.SpillStats) float64 { return float64(sp.BudgetBytes) }))
-		reg.GaugeFunc("nobld_trace_spill_spills_total", "cumulative spill-to-disk operations",
+		reg.CounterFunc("nobld_trace_spill_spills_total", "cumulative spill-to-disk operations",
 			spill(func(sp harness.SpillStats) float64 { return float64(sp.Spills) }))
-		reg.GaugeFunc("nobld_trace_spill_reloads_total", "cumulative page-back-in operations",
+		reg.CounterFunc("nobld_trace_spill_reloads_total", "cumulative page-back-in operations",
 			spill(func(sp harness.SpillStats) float64 { return float64(sp.Reloads) }))
 	}
 }
 
-// registerCacheGauges installs the five per-store gauges under prefix.
+// registerCacheGauges installs the five per-store series under prefix:
+// three cumulative counters and two gauges.
 func registerCacheGauges(reg *obs.Registry, prefix string, stats func() CacheStats) {
-	reg.GaugeFunc(prefix+"_hits_total", "cache hits", func() float64 { return float64(stats().Hits) })
-	reg.GaugeFunc(prefix+"_misses_total", "cache misses", func() float64 { return float64(stats().Misses) })
-	reg.GaugeFunc(prefix+"_evictions_total", "cache evictions", func() float64 { return float64(stats().Evictions) })
+	reg.CounterFunc(prefix+"_hits_total", "cache hits", func() float64 { return float64(stats().Hits) })
+	reg.CounterFunc(prefix+"_misses_total", "cache misses", func() float64 { return float64(stats().Misses) })
+	reg.CounterFunc(prefix+"_evictions_total", "cache evictions", func() float64 { return float64(stats().Evictions) })
 	reg.GaugeFunc(prefix+"_hit_rate", "cache hit rate", func() float64 { return stats().HitRate })
 	reg.GaugeFunc(prefix+"_entries", "live cache entries", func() float64 { return float64(stats().Entries) })
 }
@@ -160,7 +161,15 @@ type CacheStats struct {
 	Capacity  int     `json:"capacity"`
 }
 
-func cacheStats[V any](s *core.Store[V]) CacheStats {
+// cacheSource is a store whose counters /metrics reports: a core.Store
+// or the harness trace store.
+type cacheSource interface {
+	Stats() core.StoreStats
+	Len() int
+	Capacity() int
+}
+
+func cacheStats(s cacheSource) CacheStats {
 	st := s.Stats()
 	return CacheStats{
 		Hits:      st.Hits,
@@ -264,7 +273,7 @@ func (s *Server) metricsSnapshot(osnap obs.Snapshot) MetricsSnapshot {
 		Schema:     MetricsSchema,
 		Requests:   map[string]int64{},
 		Results:    cacheStats(s.results),
-		Traces:     cacheStats(s.traces.Store()),
+		Traces:     cacheStats(s.traces),
 		QueueDepth: int64(s.sched.depth()),
 		Jobs: JobCounters{
 			Running:   int64(s.metrics.jobsRunning.Value()),

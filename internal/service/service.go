@@ -1,10 +1,12 @@
 package service
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"log/slog"
 	"net/http"
 	"os"
@@ -131,6 +133,11 @@ type Response struct {
 	// RetryAfterSec accompanies a 429 (shed) outcome: how long the
 	// client should back off, mirroring the Retry-After header.
 	RetryAfterSec int `json:"retry_after_sec,omitempty"`
+
+	// hit is the result-cache entry a cached "done" response was served
+	// from; handleAnalyze writes its pre-encoded body instead of
+	// encoding this value.
+	hit *cachedResult
 }
 
 // BatchRequest is the POST /v1/analyze/batch payload.
@@ -195,7 +202,7 @@ type AlgorithmsResponse struct {
 type Server struct {
 	cfg     Config
 	engine  core.Engine
-	results *core.Store[*harness.Document]
+	results *core.Store[*cachedResult]
 	traces  *harness.TraceStore
 	sched   *scheduler
 	metrics *metrics
@@ -237,7 +244,7 @@ func New(cfg Config) (*Server, error) {
 	s := &Server{
 		cfg:     cfg,
 		engine:  cfg.Engine,
-		results: core.NewBoundedStore[*harness.Document](cfg.CacheEntries),
+		results: core.NewBoundedStore[*cachedResult](cfg.CacheEntries),
 		traces:  traces,
 		sched:   newScheduler(cfg.QueueLimit, cfg.AdmitQueueHigh),
 		metrics: newMetrics(),
@@ -383,9 +390,36 @@ type apiError struct {
 func writeJSON(w http.ResponseWriter, status int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
+	_ = newEncoder(w).Encode(v)
+}
+
+// newEncoder returns the encoder of every JSON body the service writes:
+// two-space indentation, newline-terminated.
+func newEncoder(w io.Writer) *json.Encoder {
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
-	_ = enc.Encode(v)
+	return enc
+}
+
+// cachedResult is one result-cache value: the analysis document and,
+// encoded on the key's first cache hit, the body of the hit response.
+// That body is the same bytes for every hit of the key, so it is
+// encoded once and lives and dies with the entry.
+type cachedResult struct {
+	doc  *harness.Document
+	once sync.Once
+	body []byte
+}
+
+// hitBody returns the body writeJSON would write for the cached-hit
+// response of the entry.
+func (c *cachedResult) hitBody() []byte {
+	c.once.Do(func() {
+		var buf bytes.Buffer
+		_ = newEncoder(&buf).Encode(Response{Schema: ResponseSchema, Status: string(StatusDone), Cached: true, Document: c.doc})
+		c.body = buf.Bytes()
+	})
+	return c.body
 }
 
 func writeError(w http.ResponseWriter, status int, format string, args ...any) {
@@ -445,6 +479,12 @@ func (s *Server) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	resp, status := s.analyze(r.Context(), req, isForwarded(r))
+	if resp.hit != nil {
+		w.Header().Set("Content-Type", "application/json")
+		w.WriteHeader(status)
+		_, _ = w.Write(resp.hit.hitBody())
+		return
+	}
 	if status == http.StatusTooManyRequests && resp.RetryAfterSec > 0 {
 		w.Header().Set("Retry-After", strconv.Itoa(resp.RetryAfterSec))
 	}
@@ -570,11 +610,11 @@ func (s *Server) analyzeStart(ctx context.Context, req *Request) (*Response, int
 		}
 		return &Response{Schema: ResponseSchema, Status: string(StatusDone), Document: doc}, http.StatusOK
 	}
-	if doc, err, ok := s.results.Peek(s.requestKey(*req)); ok {
+	if res, err, ok := s.results.Peek(s.requestKey(*req)); ok {
 		if err != nil {
 			return &Response{Schema: ResponseSchema, Status: string(StatusFailed), Cached: true, Error: err.Error()}, http.StatusInternalServerError
 		}
-		return &Response{Schema: ResponseSchema, Status: string(StatusDone), Cached: true, Document: doc}, http.StatusOK
+		return &Response{Schema: ResponseSchema, Status: string(StatusDone), Cached: true, Document: res.doc, hit: res}, http.StatusOK
 	}
 	return nil, 0
 }
