@@ -11,6 +11,14 @@
 // destination's mailbox.  The cache-miss count of this simulation is the
 // I/O complexity of the derived sequential algorithm.
 //
+// Two simulators consume that address stream.  Cache with
+// SimulateSource replays it word by word into one IC(M, B) cache; it is
+// the reference.  CurveSim, which every miss-curve consumer uses,
+// classifies the same stream against a whole sweep of cache sizes in one
+// pass, at the cost of one LRU step per run of accesses to a distinct
+// line over an O(v) slot table, with miss counts identical to the
+// reference's.
+//
 // The measurable content of the conjecture (experiment E16): algorithms
 // whose supersteps have fine labels (communication confined to small
 // clusters) produce address streams with locality, so the derived
@@ -25,6 +33,8 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
+	"slices"
 	"sort"
 
 	"netoblivious/internal/core"
@@ -124,18 +134,33 @@ func newStepSchedule(v, ctxWords int) (*stepSchedule, error) {
 	return &stepSchedule{v: v, ctxWords: ctxWords, region: int64(ctxWords + 1), bySrc: make([][]int32, v)}, nil
 }
 
-// run feeds one superstep's address stream to touch.  Pairs order within
-// a superstep is unspecified, so messages are bucketed by source first
-// for the per-VP schedule.
-func (ss *stepSchedule) run(rec *core.StepRec, touch func(addr int64)) error {
+// bucket groups one superstep's messages by source, preserving their
+// order within each source.  Pairs order within a superstep is
+// unspecified, so the per-VP schedule needs this grouping first.  A pair
+// naming a VP outside the machine is rejected: the address it would
+// touch lies outside the simulated memory.
+func (ss *stepSchedule) bucket(rec *core.StepRec) error {
 	if rec.Messages > 0 && rec.Pairs.Len() == 0 {
 		return ErrNoPairs
 	}
 	for i := range ss.bySrc {
 		ss.bySrc[i] = ss.bySrc[i][:0]
 	}
+	var bad error
 	for src, dst := range rec.Pairs.All() {
+		if uint32(src) >= uint32(ss.v) || uint32(dst) >= uint32(ss.v) {
+			bad = fmt.Errorf("cachesim: message pair (%d, %d) outside the machine of v=%d", src, dst, ss.v)
+			break
+		}
 		ss.bySrc[src] = append(ss.bySrc[src], dst)
+	}
+	return bad
+}
+
+// run feeds one superstep's address stream to touch, word by word.
+func (ss *stepSchedule) run(rec *core.StepRec, touch func(addr int64)) error {
+	if err := ss.bucket(rec); err != nil {
+		return err
 	}
 	for w := 0; w < ss.v; w++ {
 		base := int64(w) * ss.region
@@ -186,11 +211,11 @@ func SimulateSource(src core.TraceSource, ctxWords int, cache *Cache) (SimStats,
 }
 
 // curveNode is one resident cache line of the CurveSim's shared LRU
-// stack.
+// stack, linked by arena index (-1 ends the list).
 type curveNode struct {
-	line       int64
-	band       int
-	prev, next *curveNode
+	line       int32
+	band       int32
+	prev, next int32
 }
 
 // CurveSim simulates every cache size of a sweep in a single traversal
@@ -200,8 +225,17 @@ type curveNode struct {
 // stack, so one stack plus one marker per capacity classifies every
 // access for all sizes at once.  Each resident line carries its band —
 // the index of the smallest cache in the sweep that still holds it —
-// and markers are nudged in O(sizes) per access, turning the
+// and markers are nudged in O(sizes) per stack update, turning the
 // O(sizes × trace) per-size re-simulation into O(trace).
+//
+// Cost model: one LRU step per run of accesses to a distinct line, not
+// one lookup per word.  An access to the line on top of the stack is a
+// band-0 hit that changes nothing, so Step touches each VP context once
+// per line and counts the line's remaining words as such hits.  Any
+// other access finds its line through a slot table indexed by line
+// number — ⌈v·(ctxWords+1)/B⌉ int32 slots, sized once, the same O(v) as
+// the per-source message buckets — pointing into a node arena of at
+// most the largest capacity in lines.
 type CurveSim struct {
 	ss     *stepSchedule
 	bWords int
@@ -209,10 +243,12 @@ type CurveSim struct {
 	caps   []int // strictly increasing unique line capacities
 	capIdx []int // sizes[i] -> index into caps
 
-	nodes      map[int64]*curveNode
-	head, tail *curveNode
-	length     int
-	markers    []*curveNode // markers[i]: node at stack position caps[i]; nil while shorter
+	slot       []int32     // slot[line]: 1 + arena index of a resident line, 0 otherwise
+	nodes      []curveNode // resident lines; never longer than the largest capacity
+	head, tail int32       // arena indices; -1 while the stack is empty
+	headLine   int32       // line on top of the stack; -1 while empty
+	markers    []int32     // markers[i]: node at stack position caps[i]; -1 while shorter
+	reached    int         // markers[:reached] are defined: the stack has grown to caps[reached-1]
 
 	hits     []int64 // hits[b]: accesses to lines resident with band b
 	cold     int64   // accesses missing even the largest cache
@@ -224,134 +260,162 @@ type CurveSim struct {
 // over the given cache sizes (words); B is the line length in words and
 // every size must be a positive multiple of it.
 func NewCurveSim(v, ctxWords, bWords int, sizes []int) (*CurveSim, error) {
+	if len(sizes) == 0 {
+		return nil, fmt.Errorf("cachesim: empty cache-size sweep")
+	}
+	caps := make([]int, len(sizes))
+	for i, m := range sizes {
+		if _, err := New(m, bWords); err != nil {
+			return nil, err
+		}
+		caps[i] = m / bWords
+	}
+	lines := (int64(v)*int64(ctxWords+1) + int64(bWords) - 1) / int64(bWords)
+	if v > 0 && ctxWords > 0 && lines > math.MaxInt32 {
+		return nil, fmt.Errorf("cachesim: a machine of v=%d VPs spans %d cache lines, beyond the simulator's %d", v, lines, math.MaxInt32)
+	}
 	ss, err := newStepSchedule(v, ctxWords)
 	if err != nil {
 		return nil, err
 	}
-	if len(sizes) == 0 {
-		return nil, fmt.Errorf("cachesim: empty cache-size sweep")
-	}
-	cs := &CurveSim{ss: ss, bWords: bWords, sizes: sizes, capIdx: make([]int, len(sizes))}
-	uniq := map[int]bool{}
-	for _, m := range sizes {
-		if _, err := New(m, bWords); err != nil {
-			return nil, err
-		}
-		if c := m / bWords; !uniq[c] {
-			uniq[c] = true
-			cs.caps = append(cs.caps, c)
-		}
-	}
-	sort.Ints(cs.caps)
+	sort.Ints(caps)
+	caps = slices.Compact(caps)
+	cs := &CurveSim{ss: ss, bWords: bWords, sizes: sizes, caps: caps, capIdx: make([]int, len(sizes))}
 	for i, m := range sizes {
-		cs.capIdx[i] = sort.SearchInts(cs.caps, m/bWords)
+		cs.capIdx[i] = sort.SearchInts(caps, m/bWords)
 	}
-	cs.nodes = make(map[int64]*curveNode)
-	cs.markers = make([]*curveNode, len(cs.caps))
-	cs.hits = make([]int64, len(cs.caps))
+	cs.slot = make([]int32, lines)
+	cs.nodes = make([]curveNode, 0, min(int64(caps[len(caps)-1]), lines))
+	cs.head, cs.tail, cs.headLine = -1, -1, -1
+	cs.markers = make([]int32, len(caps))
+	for i := range cs.markers {
+		cs.markers[i] = -1
+	}
+	cs.hits = make([]int64, len(caps))
 	return cs, nil
 }
 
-func (cs *CurveSim) pushFront(n *curveNode) {
-	n.prev = nil
-	n.next = cs.head
-	if cs.head != nil {
-		cs.head.prev = n
+func (cs *CurveSim) pushFront(n int32) {
+	nd := &cs.nodes[n]
+	nd.prev = -1
+	nd.next = cs.head
+	if cs.head >= 0 {
+		cs.nodes[cs.head].prev = n
 	}
 	cs.head = n
-	if cs.tail == nil {
+	cs.headLine = nd.line
+	if cs.tail < 0 {
 		cs.tail = n
 	}
 }
 
-func (cs *CurveSim) unlink(n *curveNode) {
-	if n.prev != nil {
-		n.prev.next = n.next
+func (cs *CurveSim) unlink(n int32) {
+	nd := &cs.nodes[n]
+	if nd.prev >= 0 {
+		cs.nodes[nd.prev].next = nd.next
 	} else {
-		cs.head = n.next
+		cs.head = nd.next
 	}
-	if n.next != nil {
-		n.next.prev = n.prev
+	if nd.next >= 0 {
+		cs.nodes[nd.next].prev = nd.prev
 	} else {
-		cs.tail = n.prev
+		cs.tail = nd.prev
 	}
 }
 
-// touch classifies one word access against every cache size at once.
-func (cs *CurveSim) touch(addr int64) {
-	cs.accesses++
-	line := addr / int64(cs.bWords)
-	if n, ok := cs.nodes[line]; ok {
-		b := n.band
+// touch classifies one access to line against every cache size at once.
+func (cs *CurveSim) touch(line int32) {
+	if line == cs.headLine {
+		cs.hits[0]++ // the top of the stack: no state changes
+		return
+	}
+	if s := cs.slot[line]; s != 0 {
+		n := s - 1
+		b := cs.nodes[n].band
 		cs.hits[b]++
-		if n == cs.head {
-			return // stack order unchanged
-		}
 		// Markers whose capacity lies strictly in front of n's position
-		// see their element slide one position down the stack.  m.prev
-		// is nil exactly when the capacity is a single line (m is the
-		// head); that marker is re-pointed at the new head below.
-		for i := 0; i < b; i++ {
+		// see their element slide one position down the stack.  A
+		// marker's prev is -1 exactly when the capacity is a single line
+		// (the marker is the head); that marker is re-pointed at the new
+		// head below.
+		for i := int32(0); i < b; i++ {
 			m := cs.markers[i]
-			cs.markers[i] = m.prev
-			m.band = i + 1
+			cs.markers[i] = cs.nodes[m].prev
+			cs.nodes[m].band = i + 1
 		}
 		// When n is itself the marker of its band, the element now at
 		// that capacity is n's predecessor.
 		if cs.markers[b] == n {
-			cs.markers[b] = n.prev
+			cs.markers[b] = cs.nodes[n].prev
 		}
 		cs.unlink(n)
 		cs.pushFront(n)
-		n.band = 0
+		cs.nodes[n].band = 0
 		if cs.caps[0] == 1 {
-			cs.markers[0] = cs.head
+			cs.markers[0] = n
 		}
 		return
 	}
 	// A miss for every size in the sweep: cold, or evicted even from the
 	// largest cache (inclusion makes those the same class).
 	cs.cold++
-	for i, m := range cs.markers {
-		if m != nil {
-			cs.markers[i] = m.prev
-			m.band = i + 1
-		}
+	for i, m := range cs.markers[:cs.reached] {
+		cs.markers[i] = cs.nodes[m].prev
+		cs.nodes[m].band = int32(i + 1)
 	}
-	maxCap := cs.caps[len(cs.caps)-1]
-	var n *curveNode
-	if cs.length == maxCap {
+	var n int32
+	if len(cs.nodes) == cs.caps[len(cs.caps)-1] {
 		n = cs.tail // just slid past the largest capacity: evict and reuse
 		cs.unlink(n)
-		delete(cs.nodes, n.line)
-		cs.length--
+		cs.slot[cs.nodes[n].line] = 0
 	} else {
-		n = &curveNode{}
+		n = int32(len(cs.nodes))
+		cs.nodes = append(cs.nodes, curveNode{})
 	}
-	n.line = line
-	n.band = 0
+	cs.nodes[n] = curveNode{line: line}
 	cs.pushFront(n)
-	cs.nodes[line] = n
-	cs.length++
-	// The stack may have just grown to exactly one of the capacities,
+	cs.slot[line] = n + 1
+	// The stack may have just grown to exactly the next capacity,
 	// defining that marker for the first time: the tail is at that
 	// position, and its band already equals the marker index by the
 	// incremental updates above.
-	for i, c := range cs.caps {
-		if cs.length == c {
-			cs.markers[i] = cs.tail
-		}
+	if cs.reached < len(cs.caps) && len(cs.nodes) == cs.caps[cs.reached] {
+		cs.markers[cs.reached] = cs.tail
+		cs.reached++
 	}
 	if cs.caps[0] == 1 {
-		cs.markers[0] = cs.head
+		cs.markers[0] = n
 	}
 }
 
-// Step folds one superstep's address stream into the curve.
+// Step folds one superstep's address stream into the curve: each VP in
+// ascending order touches its context, then the mailbox word of every
+// message it sends (the stepSchedule access model, one LRU step per
+// line rather than per word).
 func (cs *CurveSim) Step(rec *core.StepRec) error {
-	if err := cs.ss.run(rec, cs.touch); err != nil {
+	ss := cs.ss
+	if err := ss.bucket(rec); err != nil {
 		return err
 	}
+	bw := int64(cs.bWords)
+	ctx := int64(ss.ctxWords)
+	var msgs int64
+	for w := 0; w < ss.v; w++ {
+		base := int64(w) * ss.region
+		end := base + ctx
+		for a := base; a < end; {
+			line := a / bw
+			next := min((line+1)*bw, end)
+			cs.touch(int32(line))
+			cs.hits[0] += next - a - 1 // the line's remaining words hit the top of the stack
+			a = next
+		}
+		for _, dst := range ss.bySrc[w] {
+			cs.touch(int32((int64(dst)*ss.region + ctx) / bw))
+		}
+		msgs += int64(len(ss.bySrc[w]))
+	}
+	cs.accesses += int64(ss.v)*ctx + msgs
 	cs.steps++
 	return nil
 }

@@ -1,12 +1,59 @@
 package cachesim
 
 import (
+	"bytes"
+	"context"
 	"math/rand"
+	"slices"
 	"testing"
 
+	"netoblivious/alg"
 	"netoblivious/internal/core"
 	"netoblivious/internal/fft"
+	_ "netoblivious/internal/prefix"
 )
+
+// serviceSweep is the miss-curve sweep nobld serves for the cache kind
+// (service.cacheSweepSizes), with its ctxWords = B = 8.
+var serviceSweep = []int{1 << 8, 1 << 10, 1 << 12, 1 << 14, 1 << 16}
+
+// recordAlg runs a registered algorithm recorded on eng.
+func recordAlg(tb testing.TB, name string, n int, eng core.Engine) *core.Trace {
+	tb.Helper()
+	a, ok := alg.ByName(name)
+	if !ok {
+		tb.Fatalf("algorithm %q not registered", name)
+	}
+	r, err := a.Run(context.Background(), alg.Spec{Engine: eng, Record: true}, n)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return r.Trace
+}
+
+// binaryRoundTrip encodes tr in the NOBTRC01 format and returns a source
+// decoding it back.
+func binaryRoundTrip(tb testing.TB, tr *core.Trace) core.TraceSource {
+	tb.Helper()
+	var buf bytes.Buffer
+	w := core.NewTraceBinaryWriter(&buf)
+	if err := w.BeginTrace(tr.V, tr.LogV); err != nil {
+		tb.Fatal(err)
+	}
+	for _, rec := range tr.Steps {
+		if err := w.WriteStep(rec); err != nil {
+			tb.Fatal(err)
+		}
+	}
+	if err := w.EndTrace(nil); err != nil {
+		tb.Fatal(err)
+	}
+	src, err := core.NewTraceBinaryReader(&buf)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return src
+}
 
 func TestCacheBasics(t *testing.T) {
 	c, err := New(4, 2) // 2 lines of 2 words
@@ -208,6 +255,121 @@ func TestMissCurveGolden(t *testing.T) {
 			}
 		}
 	}
+	t.Run("service-parameters", testMissCurveGoldenServiceParameters)
+}
+
+// testMissCurveGoldenServiceParameters extends the golden equality to
+// the parameters nobld serves and to the corners of the line-indexed
+// stack: a single-line capacity (a size equal to B), a context spanning
+// at least three lines, recordings of one algorithm on the block and
+// the replay engine (which order a superstep's pairs differently), and
+// a trace read back through the NOBTRC01 binary codec.
+func testMissCurveGoldenServiceParameters(t *testing.T) {
+	type config struct {
+		ctxWords, bWords int
+		sizes            []int
+	}
+	service := config{8, 8, serviceSweep}
+	corners := []config{
+		service,
+		{8, 8, []int{8, 64, 8, 4096}},    // single-line capacity, duplicated
+		{20, 8, []int{8, 256, 2048, 64}}, // a context spans three or four lines
+		{20, 4, []int{4, 12, 1 << 14}},
+	}
+	traces := []struct {
+		name    string
+		tr      *core.Trace
+		configs []config
+	}{
+		{"fft n=256 block", recordAlg(t, "fft", 256, core.BlockEngine{}), corners},
+		{"fft n=256 replay", recordAlg(t, "fft", 256, core.ReplayEngine{Store: core.NewScheduleStore()}), corners},
+		{"prefix-tree n=8192 block", recordAlg(t, "prefix-tree", 8192, core.BlockEngine{}), []config{service}},
+	}
+	for _, tc := range traces {
+		for _, c := range tc.configs {
+			want, err := missCurveReference(tc.tr, c.ctxWords, c.bWords, c.sizes)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := MissCurve(tc.tr, c.ctxWords, c.bWords, c.sizes)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !slices.Equal(got, want) {
+				t.Errorf("%s ctx=%d B=%d sizes=%v: single-pass curve %v, reference %v", tc.name, c.ctxWords, c.bWords, c.sizes, got, want)
+			}
+			decoded, err := MissCurveSource(binaryRoundTrip(t, tc.tr), c.ctxWords, c.bWords, c.sizes)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !slices.Equal(decoded, want) {
+				t.Errorf("%s ctx=%d B=%d sizes=%v via NOBTRC01: curve %v, reference %v", tc.name, c.ctxWords, c.bWords, c.sizes, decoded, want)
+			}
+		}
+	}
+}
+
+// TestCurveSimRejectsPairsOutsideMachine: a decoded trace naming a VP
+// beyond v is an error, not an out-of-range access.
+func TestCurveSimRejectsPairsOutsideMachine(t *testing.T) {
+	cs, err := NewCurveSim(4, 8, 8, serviceSweep)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, pair := range [][2]int32{{0, 4}, {4, 0}, {-1, 0}} {
+		rec := core.StepRec{Label: 0, Degree: []int64{0, 1, 1}, Messages: 1, Pairs: core.PairListOf([][2]int32{pair})}
+		if err := cs.Step(&rec); err == nil {
+			t.Errorf("pair %v on v=4: want an error", pair)
+		}
+	}
+}
+
+// TestCurveSimStepAllocs: once the per-source buckets have grown to a
+// superstep's fan-out, folding it in allocates nothing.
+func TestCurveSimStepAllocs(t *testing.T) {
+	tr := recordAlg(t, "fft", 256, core.BlockEngine{})
+	cs, err := NewCurveSim(tr.V, 8, 8, serviceSweep)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range tr.Steps {
+		if err := cs.Step(&tr.Steps[i]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := range tr.Steps {
+		rec := &tr.Steps[i]
+		if allocs := testing.AllocsPerRun(5, func() {
+			if err := cs.Step(rec); err != nil {
+				t.Fatal(err)
+			}
+		}); allocs != 0 {
+			t.Fatalf("step %d: %.1f allocations per Step, want 0", i, allocs)
+		}
+	}
+}
+
+// BenchmarkCurveSim measures the cache analysis layer on the sweep nobld
+// serves: a recorded prefix-tree trace at v = 16384 folded into one
+// CurveSim per iteration.
+func BenchmarkCurveSim(b *testing.B) {
+	tr := recordAlg(b, "prefix-tree", 1<<14, core.BlockEngine{})
+	b.ReportAllocs()
+	b.ResetTimer()
+	var accesses int64
+	for i := 0; i < b.N; i++ {
+		cs, err := NewCurveSim(tr.V, 8, 8, serviceSweep)
+		if err != nil {
+			b.Fatal(err)
+		}
+		for j := range tr.Steps {
+			if err := cs.Step(&tr.Steps[j]); err != nil {
+				b.Fatal(err)
+			}
+		}
+		accesses += cs.Accesses()
+	}
+	b.ReportMetric(float64(accesses)/b.Elapsed().Seconds(), "accesses/s")
 }
 
 // TestCurveSimAccesses: every size of a sweep shares one address

@@ -233,6 +233,9 @@ func (ss *ScheduleStore) Stats() StoreStats { return ss.store.Stats() }
 // Len returns the number of cached schedules (completed or in flight).
 func (ss *ScheduleStore) Len() int { return ss.store.Len() }
 
+// Capacity returns the LRU bound (0 = unbounded).
+func (ss *ScheduleStore) Capacity() int { return ss.store.Capacity() }
+
 // Forget drops one schedule, forcing recompilation on next use.
 func (ss *ScheduleStore) Forget(key string) bool { return ss.store.Forget(key) }
 

@@ -3,6 +3,7 @@ package core
 import (
 	"container/list"
 	"fmt"
+	"runtime/debug"
 	"sync"
 	"sync/atomic"
 )
@@ -106,7 +107,9 @@ func (s *Store[V]) Capacity() int { return s.capacity }
 
 // Get returns the value for key, computing it with compute on the first
 // call.  compute runs at most once per key across all goroutines; callers
-// that find the computation in flight block until it completes.
+// that find the computation in flight block until it completes.  If
+// compute panics, that caller and every waiter receive a *PanicError and
+// the key is forgotten, so a later Get computes it afresh.
 func (s *Store[V]) Get(key string, compute func() (V, error)) (V, error) {
 	s.mu.Lock()
 	e, ok := s.entries[key]
@@ -123,18 +126,51 @@ func (s *Store[V]) Get(key string, compute func() (V, error)) (V, error) {
 	s.entries[key] = e
 	s.mu.Unlock()
 	s.misses.Add(1)
-	e.val, e.err = compute()
+	panicked := e.compute(compute)
 	close(e.done)
 	s.mu.Lock()
 	// The entry enters the LRU order only now that it is completed; a
 	// Forget during the computation removed it from the map, in which case
-	// it must not resurface.
+	// it must not resurface.  A panic describes the failed attempt, not
+	// the key, so its entry is forgotten like a Forget would.
 	if s.entries[key] == e {
-		e.elem = s.lru.PushFront(e)
-		s.evictLocked()
+		if panicked {
+			delete(s.entries, key)
+		} else {
+			e.elem = s.lru.PushFront(e)
+			s.evictLocked()
+		}
 	}
 	s.mu.Unlock()
 	return e.val, e.err
+}
+
+// PanicError is the outcome of a Store computation that panicked: Get
+// recovers the panic and reports it to the computing caller and every
+// waiter as this error, so no waiter blocks forever and the process
+// survives.
+type PanicError struct {
+	// Value is the value passed to panic.
+	Value any
+	// Stack is the panicking goroutine's stack at the recovery.
+	Stack []byte
+}
+
+func (e *PanicError) Error() string {
+	return fmt.Sprintf("computation panicked: %v", e.Value)
+}
+
+// compute runs fn into the entry, converting a panic into a PanicError.
+func (e *storeEntry[V]) compute(fn func() (V, error)) (panicked bool) {
+	defer func() {
+		if r := recover(); r != nil {
+			var zero V
+			e.val, e.err = zero, &PanicError{Value: r, Stack: debug.Stack()}
+			panicked = true
+		}
+	}()
+	e.val, e.err = fn()
+	return false
 }
 
 // Peek returns the completed value for key without ever computing.  ok

@@ -6,6 +6,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 )
 
 func TestStoreSingleFlight(t *testing.T) {
@@ -255,5 +256,41 @@ func TestStorePeek(t *testing.T) {
 	}
 	if st := s.Stats(); st.Hits != 1 || st.Misses != 1 {
 		t.Errorf("stats = %+v, want 1 hit / 1 miss", st)
+	}
+}
+
+// TestStorePanicFailsTheKeyOnce: a panicking computation completes its
+// entry with a PanicError for the computing caller and every waiter,
+// instead of leaving them blocked, and is forgotten, so the next Get
+// computes afresh.
+func TestStorePanicFailsTheKeyOnce(t *testing.T) {
+	s := NewStore[int]()
+	started := make(chan struct{})
+	waiter := make(chan error, 1)
+	go func() {
+		<-started
+		_, err := s.Get("k", func() (int, error) { return 0, errors.New("waiter must not compute") })
+		waiter <- err
+	}()
+	_, err := s.Get("k", func() (int, error) {
+		close(started)
+		for s.Stats().Hits == 0 { // wait until the waiter has joined
+			time.Sleep(time.Millisecond)
+		}
+		panic("boom")
+	})
+	var pe *PanicError
+	if !errors.As(err, &pe) || pe.Value != "boom" || len(pe.Stack) == 0 {
+		t.Fatalf("computing caller got %v, want a PanicError carrying \"boom\" and a stack", err)
+	}
+	if err := <-waiter; !errors.As(err, &pe) {
+		t.Errorf("waiter got %v, want the PanicError", err)
+	}
+	if s.Len() != 0 {
+		t.Errorf("Len = %d after a panic, want 0 (the key is forgotten)", s.Len())
+	}
+	v, err := s.Get("k", func() (int, error) { return 5, nil })
+	if err != nil || v != 5 {
+		t.Errorf("Get after the panic = %d, %v; want a fresh computation", v, err)
 	}
 }

@@ -5,9 +5,11 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"runtime/debug"
 	"sync"
 	"time"
 
+	"netoblivious/internal/core"
 	"netoblivious/internal/harness"
 )
 
@@ -327,6 +329,15 @@ func (s *scheduler) close() {
 	s.mu.Unlock()
 }
 
+// panicOf returns the recovered panic err carries, or nil.
+func panicOf(err error) *core.PanicError {
+	var pe *core.PanicError
+	if errors.As(err, &pe) {
+		return pe
+	}
+	return nil
+}
+
 // errJobCancelled marks client-requested cancellation as the context
 // cause, distinguishing it from the per-job timeout.
 var errJobCancelled = errors.New("job cancelled by client")
@@ -344,8 +355,33 @@ func (s *Server) worker() {
 		if j == nil {
 			return
 		}
-		s.runJob(j)
+		s.runJobRecovered(j)
 	}
+}
+
+// runJobRecovered is the job-worker boundary's backstop: a panic that
+// escapes the stores' own recovery (core.Store turns a panicking
+// computation into a *core.PanicError) fails its job, and the worker
+// goes on serving.
+func (s *Server) runJobRecovered(j *job) {
+	defer func() {
+		r := recover()
+		if r == nil {
+			return
+		}
+		s.metrics.jobPanics.Inc()
+		s.sched.release(j)
+		s.logger.Error("job panicked",
+			"job", j.id,
+			"request_id", j.requestID,
+			"panic", fmt.Sprint(r),
+			"stack", string(debug.Stack()))
+		if j.finish(StatusFailed, &Response{Schema: ResponseSchema, Status: string(StatusFailed), Error: fmt.Sprintf("job panicked: %v", r)}) {
+			s.metrics.jobsFailed.Add(1)
+			s.sched.retire(j)
+		}
+	}()
+	s.runJob(j)
 }
 
 func (s *Server) runJob(j *job) {
@@ -401,6 +437,18 @@ func (s *Server) runJob(j *job) {
 			}
 			return &cachedResult{doc: doc}, nil
 		})
+		if pe := panicOf(err); pe != nil {
+			// A panic fails this job but is not the key's answer: never
+			// leave it memoized, so a repeat runs (and is counted) again.
+			s.metrics.jobPanics.Inc()
+			s.results.ForgetIf(key, func(_ *cachedResult, err error) bool { return panicOf(err) != nil })
+			s.logger.Error("job panicked",
+				"job", j.id,
+				"request_id", j.requestID,
+				"panic", fmt.Sprint(pe.Value),
+				"stack", string(pe.Stack))
+			break
+		}
 		if !harness.IsCancellation(err) {
 			break
 		}

@@ -36,6 +36,7 @@ type metrics struct {
 	jobsFailed    *obs.Counter
 	jobsCancelled *obs.Counter
 	jobsRejected  *obs.Counter // queue-full and shed rejections
+	jobPanics     *obs.Counter // jobs failed by a recovered panic
 
 	// queueWaitEWMA holds the float64 bits of an exponentially weighted
 	// moving average of queue waits (ms); admission control derives its
@@ -52,6 +53,7 @@ func newMetrics() *metrics {
 		jobsFailed:    reg.Counter("nobld_jobs_failed_total", "jobs finished with an error"),
 		jobsCancelled: reg.Counter("nobld_jobs_cancelled_total", "jobs cancelled by clients or shutdown"),
 		jobsRejected:  reg.Counter("nobld_jobs_rejected_total", "enqueues rejected by the bounded queue"),
+		jobPanics:     reg.Counter("nobld_job_panics_total", "jobs failed by a recovered panic"),
 	}
 }
 
@@ -119,6 +121,7 @@ func (s *Server) registerGauges() {
 		func() float64 { return float64(s.sched.depth()) })
 	registerCacheGauges(reg, "nobld_cache", func() CacheStats { return cacheStats(s.results) })
 	registerCacheGauges(reg, "nobld_trace_cache", func() CacheStats { return cacheStats(s.traces) })
+	registerCacheGauges(reg, "nobld_schedule_cache", func() CacheStats { return cacheStats(s.schedules()) })
 	if _, ok := s.traces.SpillStats(); ok {
 		spill := func(read func(harness.SpillStats) float64) func() float64 {
 			return func() float64 {
@@ -161,8 +164,8 @@ type CacheStats struct {
 	Capacity  int     `json:"capacity"`
 }
 
-// cacheSource is a store whose counters /metrics reports: a core.Store
-// or the harness trace store.
+// cacheSource is a store whose counters /metrics reports: a core.Store,
+// the harness trace store or the replay engine's schedule store.
 type cacheSource interface {
 	Stats() core.StoreStats
 	Len() int
@@ -197,6 +200,7 @@ type MetricsSnapshot struct {
 	Requests   map[string]int64             `json:"requests"`
 	Results    CacheStats                   `json:"result_cache"`
 	Traces     CacheStats                   `json:"trace_cache"`
+	Schedules  CacheStats                   `json:"schedule_cache"`
 	Spill      *harness.SpillStats          `json:"trace_spill,omitempty"`
 	QueueDepth int64                        `json:"queue_depth"`
 	Jobs       JobCounters                  `json:"jobs"`
@@ -232,6 +236,7 @@ type JobCounters struct {
 	Failed    int64 `json:"failed"`
 	Cancelled int64 `json:"cancelled"`
 	Rejected  int64 `json:"rejected"`
+	Panics    int64 `json:"panics"`
 }
 
 // MetricsSchema tags the JSON metrics snapshot.
@@ -274,6 +279,7 @@ func (s *Server) metricsSnapshot(osnap obs.Snapshot) MetricsSnapshot {
 		Requests:   map[string]int64{},
 		Results:    cacheStats(s.results),
 		Traces:     cacheStats(s.traces),
+		Schedules:  cacheStats(s.schedules()),
 		QueueDepth: int64(s.sched.depth()),
 		Jobs: JobCounters{
 			Running:   int64(s.metrics.jobsRunning.Value()),
@@ -281,6 +287,7 @@ func (s *Server) metricsSnapshot(osnap obs.Snapshot) MetricsSnapshot {
 			Failed:    s.metrics.jobsFailed.Value(),
 			Cancelled: s.metrics.jobsCancelled.Value(),
 			Rejected:  s.metrics.jobsRejected.Value(),
+			Panics:    s.metrics.jobPanics.Value(),
 		},
 		Latency: map[string]HistogramSnapshot{},
 		Runs:    map[string]HistogramSnapshot{},

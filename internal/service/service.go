@@ -373,6 +373,17 @@ func (s *Server) engineFor(req Request) core.Engine {
 	return eng
 }
 
+// schedules returns the replay engine's schedule store: the configured
+// engine's own store when it has one, otherwise the process-wide store
+// that every replay run here uses, per-request "replay" overrides
+// included.
+func (s *Server) schedules() *core.ScheduleStore {
+	if re, ok := s.engine.(core.ReplayEngine); ok && re.Store != nil {
+		return re.Store
+	}
+	return core.SharedScheduleStore()
+}
+
 // requestKey namespaces the request's semantic key by the engine, since
 // the engine is part of what was executed.  It coincides with routeKey:
 // the local cache key and the cluster placement key are the same string,

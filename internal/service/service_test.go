@@ -11,6 +11,7 @@ import (
 	"testing"
 	"time"
 
+	"netoblivious/internal/core"
 	"netoblivious/internal/harness"
 )
 
@@ -646,10 +647,36 @@ func TestMetricsTextFormat(t *testing.T) {
 		t.Fatal(err)
 	}
 	body := buf.String()
-	for _, want := range []string{"nobld_requests_total", "nobld_cache_hits_total", "nobld_queue_depth", "nobld_latency_ms_bucket"} {
+	for _, want := range []string{"nobld_requests_total", "nobld_cache_hits_total", "nobld_queue_depth", "nobld_latency_ms_bucket",
+		"nobld_schedule_cache_misses_total", "nobld_schedule_cache_entries", "nobld_job_panics_total"} {
 		if !strings.Contains(body, want) {
 			t.Errorf("text metrics missing %q", want)
 		}
+	}
+}
+
+// TestScheduleCacheMetrics: a replay-engine run's schedule lookup shows
+// in the JSON snapshot's schedule_cache block.
+func TestScheduleCacheMetrics(t *testing.T) {
+	_, c := newTestServer(t, Config{Workers: 1})
+	ctx := context.Background()
+	before, err := c.Metrics(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.Analyze(ctx, Request{Algorithm: "prefix-tree", N: 64, Kind: KindTrace, Engine: "replay", Wait: true}); err != nil {
+		t.Fatal(err)
+	}
+	after, err := c.Metrics(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lookups := func(cs CacheStats) int64 { return cs.Hits + cs.Misses }
+	if lookups(after.Schedules) <= lookups(before.Schedules) {
+		t.Errorf("schedule_cache %+v after a replay run, %+v before: no lookup counted", after.Schedules, before.Schedules)
+	}
+	if after.Schedules.Entries < 1 || after.Schedules.Capacity != core.DefaultScheduleCapacity {
+		t.Errorf("schedule_cache %+v, want at least one entry and capacity %d", after.Schedules, core.DefaultScheduleCapacity)
 	}
 }
 

@@ -167,7 +167,12 @@ type evaluator struct {
 	in   []int64
 	grid []int64
 	wise bool
-	vals map[node]int64
+	vals map[node]int64 // every value this VP holds: computed or received
+	// owned lists the nodes this VP computed, in computation order.  The
+	// static schedule makes the computing VP a node's canonical owner
+	// (computeOwner), so these are exactly the values redistribute may
+	// forward, in an order fixed by the program alone.
+	owned []node
 }
 
 func (e *evaluator) label(z int) int {
@@ -175,8 +180,10 @@ func (e *evaluator) label(z int) int {
 }
 
 // store records a computed value and publishes it to the shared grid.
+// Each node is computed exactly once, by its owner.
 func (e *evaluator) store(nd node, v int64) {
 	e.vals[nd] = v
+	e.owned = append(e.owned, nd)
 	e.grid[e.g.gridIndex(nd)] = v
 }
 
@@ -214,15 +221,20 @@ func (e *evaluator) evalBox(bx box) {
 
 // redistribute sends, for every value this VP canonically owns, the value
 // to the compute-owners of its consumers that are evaluated in phase phi
-// of box bx.  One superstep, label lab.
+// of box bx.  One superstep, label lab.  Values go out in computation
+// order, so the superstep's messages — and a recorded trace's pair
+// order — are the same on every run.
+//
+//nob:deterministic
 func (e *evaluator) redistribute(bx box, phi, lab int) {
 	g := e.g
 	var cbuf [9]node
 	var targets [9]int
-	for nd, v := range e.vals {
-		if !g.contains(bx, nd) || g.computeOwner(nd) != e.vp.ID() {
+	for _, nd := range e.owned {
+		if !g.contains(bx, nd) {
 			continue
 		}
+		v := e.vals[nd]
 		nt := 0
 		for _, ch := range g.consumers(nd, cbuf[:0]) {
 			if !g.contains(bx, ch) {

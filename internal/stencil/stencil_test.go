@@ -1,10 +1,12 @@
 package stencil
 
 import (
+	"bytes"
 	"math/rand"
 	"strings"
 	"testing"
 
+	"netoblivious/internal/core"
 	"netoblivious/internal/eval"
 	"netoblivious/internal/theory"
 )
@@ -231,5 +233,33 @@ func TestValidation(t *testing.T) {
 	}
 	if _, err := RunK(8, 1, 16, make([]int64, 8), Options{}); err == nil {
 		t.Error("want error for K > n")
+	}
+}
+
+// TestRecordedTraceDeterministic: two recorded block-engine runs of the
+// same instance encode byte-identically.  Redistribution used to send in
+// map-iteration order, so the pair order within a superstep (and every
+// pair-order-sensitive analysis, such as the cache miss curve) changed
+// from run to run.
+func TestRecordedTraceDeterministic(t *testing.T) {
+	for _, c := range []struct{ n, d int }{{16, 1}, {8, 2}} {
+		m := c.n
+		if c.d == 2 {
+			m = c.n * c.n
+		}
+		in := randInputs(rand.New(rand.NewSource(5)), m)
+		var enc [2]bytes.Buffer
+		for i := range enc {
+			res, err := Run(c.n, c.d, in, Options{Record: true, Wise: true, Engine: core.BlockEngine{}})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := res.Trace.EncodeJSON(&enc[i]); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if !bytes.Equal(enc[0].Bytes(), enc[1].Bytes()) {
+			t.Errorf("stencil%d n=%d: two recorded block-engine runs encode differently", c.d, c.n)
+		}
 	}
 }
